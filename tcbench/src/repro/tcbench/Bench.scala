@@ -46,24 +46,27 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
   /** Runs the workload and returns the result line. */
   def run(): String = {
     val m = new Metrics
+    // Whole-run figures behind the per-node metrics: printed, not reported.
+    val raw = new Metrics
     val samples = ArrayBuffer.empty[(String, Int)]
     val s = setup()
-    println("env " + Json.render(env(s.nets, s.tree)))
     val outputs =
       if (args.trace) {
         m("netgen.gen_s") = (s.genS, "s")
         m("model.compact_s") = (s.compactS, "s")
-        traced(s.nets, m)
+        traced(s.nets, s.tcfiSample, m)
       } else {
         m("setup_s") = (s.setupS, "s")
-        measure(s.nets, s.tree, m, samples)
+        measure(s.nets, m, raw, samples)
       }
-    phase("exactness checks")(exactness(s.nets, outputs))
+    println("env " + Json.render(env(s.nets, outputs.tree)))
+    phase("exactness checks")(exactness(s.nets, outputs, s.tcfiSample))
 
     val sampleCount = samples.toMap
     m.toSeq.foreach { case (name, (v, unit)) =>
       println(f"$name%-40s $v%16.6f $unit" + sampleCount.get(name).fold("")(n => s"  (n=$n)"))
     }
+    raw.toSeq.foreach { case (name, (v, unit)) => println(f"$name%-40s $v%16.6f $unit  (not a metric)") }
     println(f"${"failed_ratio"}%-40s ${failed.toDouble / attempted}%16.6f ratio  (n=$attempted)")
     Json.render(ListMap(
       "correct" -> (failed == 0),
@@ -73,47 +76,50 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
     ))
   }
 
-  private final case class Nets(full: CompactNetwork, sample: CompactNetwork, warmSample: CompactNetwork)
+  private final case class Nets(full: CompactNetwork, sample: CompactNetwork)
 
   /** The outputs the exactness checks look at. */
   private final case class Outputs(tree: TCTree, tcfi: MiningResult, tcfa: MiningResult)
 
-  private final case class Setup(nets: Nets, genS: Double, compactS: Double, setupS: Double, tree: TCTree)
+  /** `tcfiSample` is the warm-up's TCFI on the BFS sample, which the
+    * exactness checks compare TCFA with.
+    */
+  private final case class Setup(nets: Nets, genS: Double, compactS: Double, setupS: Double,
+                                 tcfiSample: MiningResult)
 
   /** Generates and compacts the inputs `SetupReps` times, then warms the
-    * JIT, the heap and Spark: a full build and queries on its tree, and the
-    * miners on a small sample. `setupS` is the session start + the median
+    * JIT, the heap and Spark. `setupS` is the session start + the median
     * of generate + compact + the warm-up.
     */
   private def setup(): Setup = {
     val reps = (1 to SetupReps).map { _ =>
       val (gens, genS) = Clock.time {
         val full = w.generate(seed)
-        (full, NetGen.bfsSample(full, SampleEdges, Workload.sampleSeed(seed)),
-         NetGen.bfsSample(full, WarmSampleEdges, Workload.sampleSeed(seed)))
+        (full, NetGen.bfsSample(full, SampleEdges, Workload.sampleSeed(seed)))
       }
-      val (nets, compactS) = Clock.time(Nets(gens._1.compact, gens._2.compact, gens._3.compact))
+      val (nets, compactS) = Clock.time(Nets(gens._1.compact, gens._2.compact))
       (gens, nets, genS, compactS)
     }
     check("generation is deterministic in the seed", reps.map(_._1).distinct.size == 1)
     val nets = reps.last._2
-    val (tree, warmS) = Clock.time(warmUp(nets))
+    val (tcfiSample, warmS) = Clock.time(warmUp(nets))
     val genS = Stats.median(reps.map(_._3))
     val compactS = Stats.median(reps.map(_._4))
     System.err.println(f"tcbench: session $sessionS%.2f s, generate $genS%.2f s, " +
                        f"compact $compactS%.2f s (medians), warm-up $warmS%.2f s")
-    Setup(nets, genS, compactS, sessionS + Stats.median(reps.map(r => r._3 + r._4)) + warmS, tree)
+    Setup(nets, genS, compactS, sessionS + Stats.median(reps.map(r => r._3 + r._4)) + warmS, tcfiSample)
   }
 
-  /** Returns the warm-up tree, which the queries and the exactness checks use. */
-  private def warmUp(nets: Nets): TCTree = {
-    val tree = TCTree.build(spark, nets.full, MaxDepth)
-    TCFI.run(spark, nets.warmSample, Alpha, MaxLen).communities
-    TCFA.run(spark, nets.warmSample, Alpha, MaxLen).communities
-    val items = nets.full.items.toSet
-    (1 to 3).foreach(_ => tree.queryByAlpha(items, Alpha))
-    qbpQueries(tree).take(1000).foreach(tree.queryByPattern)
-    tree
+  /** Runs every timed operation once on its own input, so that the first
+    * timed round is not a cold one (a cold build takes ~1.7x a warm one).
+    * Returns the TCFI result on the sample.
+    */
+  private def warmUp(nets: Nets): MiningResult = {
+    phase("warm-up build")(TCTree.build(spark, nets.full, MaxDepth))
+    val tcfi = phase("warm-up TCFI")(TCFI.run(spark, nets.sample, Alpha, MaxLen))
+    tcfi.communities
+    phase("warm-up TCFA")(TCFA.run(spark, nets.sample, Alpha, MaxLen).communities)
+    tcfi
   }
 
   private def env(nets: Nets, tree: TCTree): ListMap[String, Any] = {
@@ -148,55 +154,53 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
     )
   }
 
-  /** End-to-end metrics, tracing off. Rounds of build + TCFI + TCFA run
-    * until half of `--seconds` is spent (at least `MinRounds`). Queries run
-    * on the warm-up tree in slices of `QbaPerSlice` timed QBA and
-    * `QbpPerSlice` checked QBP, one before and one after each batch
-    * operation, so that they sample the whole run rather than one stretch
-    * of it; more slices follow until `--seconds` is spent (at least `MinQba`
-    * QBA). Every tree is compared with the warm-up tree and every mining
-    * result with the first round's; the exactness checks cover the outputs
-    * returned.
+  /** End-to-end metrics, tracing off. A run is a series of rounds, each a
+    * build, TCFI and TCFA. A new round starts while `--seconds` have not
+    * passed, and at least `MinRounds` run. A full GC precedes every timed
+    * operation, so that none pays for the garbage of the one before. After
+    * each build, `QbaPerRound` QBA and `QbpPerRound` QBP queries check the
+    * new tree (QBA latency is not a metric: see `README.md`). Every round's
+    * outputs are compared with the first round's; the exactness checks
+    * cover the last.
+    *
+    * The network, and with it the tree and TCFI's output, changes size
+    * with the seed (AMINER: 78k-100k tree nodes), so build time and heap
+    * are reported per tree node and TCFI time per truss it finds; for one
+    * seed these move exactly as the whole-run figures do. TCFA runs on a
+    * sample of fixed size and is reported as wall time.
     */
-  private def measure(nets: Nets, warmTree: TCTree, m: Metrics,
-                      samples: ArrayBuffer[(String, Int)]): Outputs = {
+  private def measure(nets: Nets, m: Metrics, raw: Metrics, samples: ArrayBuffer[(String, Int)]): Outputs = {
     val t0 = System.nanoTime()
     val budget = args.seconds.toDouble
     val items = nets.full.items.toSet
-    val patterns = qbpQueries(warmTree)
-    val qba = ArrayBuffer.empty[Double]
-    def querySlice(): Unit = {
-      for (_ <- 1 to QbaPerSlice) {
-        val (r, s) = Clock.time(warmTree.queryByAlpha(items, Alpha))
-        check("QBA(S, 0) retrieves every tree node", r.retrievedNodes == warmTree.nNodes)
-        qba += s * 1e3
-      }
-      for (_ <- 1 to QbpPerSlice) {
+    var patterns: Iterator[Vector[Int]] = null
+    def checkQueries(tree: TCTree): Unit = {
+      if (patterns == null) patterns = qbpQueries(tree)
+      for (_ <- 1 to QbaPerRound)
+        check("QBA(S, 0) retrieves every tree node", tree.queryByAlpha(items, Alpha).retrievedNodes == tree.nNodes)
+      for (_ <- 1 to QbpPerRound) {
         val q = patterns.next()
         check(s"QBP(${Pattern.key(q)}) retrieves 2^|q| - 1 nodes",
-              warmTree.queryByPattern(q).retrievedNodes == (1 << q.length) - 1)
+              tree.queryByPattern(q).retrievedNodes == (1 << q.length) - 1)
       }
     }
 
-    var first: Outputs = null
+    var first: (Int, Long, (Long, Long, Long), (Long, Long, Long)) = null
+    var last: Outputs = null
     val builds, heaps, tcfis, tcfas = ArrayBuffer.empty[Double]
-    while (builds.length < MinRounds ||
-           (Clock.secondsSince(t0) < budget * 0.5 && builds.length < MaxRounds)) {
-      querySlice()
-      var tree: TCTree = null
-      val buildS = Clock.time { tree = TCTree.build(spark, nets.full, MaxDepth) }._2
-      check("repeated build gives the same tree",
-            tree.nNodes == warmTree.nNodes && edgesStored(tree) == edgesStored(warmTree))
-      // Heap with the tree minus heap right after dropping it, so that
-      // nothing else the build leaves behind is counted.
-      val withTree = Gc.usedAfterGc()
-      tree = null
-      heaps += (withTree - Gc.usedAfterGc()) / 1e6
-      querySlice()
+    while (builds.length < MinRounds || (builds.length < MaxRounds && Clock.secondsSince(t0) < budget)) {
+      last = null
+      // Heap with the new tree minus heap before the build (both after a
+      // full GC, which also clears the garbage of the round before).
+      val before = Gc.usedAfterGc()
+      val (tree, buildS) = Clock.time(TCTree.build(spark, nets.full, MaxDepth))
+      heaps += (Gc.usedAfterGc() - before).toDouble
+      checkQueries(tree)
+      System.gc()
       val ((tcfi, tcfiCommunities), tcfiS) = Clock.time {
         val r = TCFI.run(spark, nets.full, Alpha, MaxLen); (r, r.communities.size)
       }
-      querySlice()
+      System.gc()
       val ((tcfa, tcfaCommunities), tcfaS) = Clock.time {
         val r = TCFA.run(spark, nets.sample, Alpha, MaxLen); (r, r.communities.size)
       }
@@ -204,23 +208,27 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
       System.err.println(f"tcbench: round ${builds.length}: build $buildS%.3f s, TCFI $tcfiS%.3f s, TCFA $tcfaS%.3f s")
       check("TCFI yields a community per truss", tcfiCommunities >= tcfi.np)
       check("TCFA yields a community per truss", tcfaCommunities >= tcfa.np)
-      if (first == null) first = Outputs(warmTree, tcfi, tcfa)
-      check("repeated TCFI gives the same trusses", sizes(tcfi) == sizes(first.tcfi))
-      check("repeated TCFA gives the same trusses", sizes(tcfa) == sizes(first.tcfa))
+      val got = (tree.nNodes, edgesStored(tree), sizes(tcfi), sizes(tcfa))
+      if (first == null) first = got
+      check("repeated build gives the same tree", got._1 == first._1 && got._2 == first._2)
+      check("repeated TCFI gives the same trusses", got._3 == first._3)
+      check("repeated TCFA gives the same trusses", got._4 == first._4)
+      last = Outputs(tree, tcfi, tcfa)
     }
-    querySlice()
-    while (qba.length < MinQba || (Clock.secondsSince(t0) < budget && qba.length < MaxQba)) querySlice()
 
     def put(name: String, v: Double, unit: String, n: Int): Unit = {
       m(name) = (v, unit)
       samples += name -> n
     }
-    put("build_s", Stats.median(builds.toSeq), "s", builds.length)
-    put("index_heap_mb", Stats.median(heaps.toSeq), "MB", heaps.length)
-    put("qba_ms_p90", Stats.quantile(qba.toSeq, 0.9), "ms", qba.length)
-    put("tcfi_s", Stats.median(tcfis.toSeq), "s", tcfis.length)
+    val nodes = last.tree.nNodes.toDouble
+    put("build_us_per_node", Stats.median(builds.toSeq) * 1e6 / nodes, "us", builds.length)
+    put("index_bytes_per_node", Stats.median(heaps.toSeq) / nodes, "B", heaps.length)
+    put("tcfi_us_per_truss", Stats.median(tcfis.toSeq) * 1e6 / last.tcfi.np, "us", tcfis.length)
     put("tcfa_s", Stats.median(tcfas.toSeq), "s", tcfas.length)
-    first
+    raw("build_s") = (Stats.median(builds.toSeq), "s")
+    raw("index_heap_mb") = (Stats.median(heaps.toSeq) / 1e6, "MB")
+    raw("tcfi_s") = (Stats.median(tcfis.toSeq), "s")
+    last
   }
 
   /** Endless seeded QBP patterns: round-robin over the tree's layers below
@@ -238,7 +246,7 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
   }
 
   /** Per-layer metrics, tracing on. */
-  private def traced(nets: Nets, m: Metrics): Outputs = {
+  private def traced(nets: Nets, tcfiSample: MiningResult, m: Metrics): Outputs = {
     val sc = spark.sparkContext
     val counters = new SparkCounters(sc, cores)
 
@@ -334,8 +342,7 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
 
     // Paper claim (iv): on the same network, TCFI peels far smaller
     // subgraphs than TCFA. TCFA runs on the sample, so TCFI is replayed there.
-    val tcfiOnSample =
-      Replay.miner(nets.sample, TCFI.run(spark, nets.sample, Alpha, MaxLen), Alpha, MaxLen, useIntersection = true)
+    val tcfiOnSample = Replay.miner(nets.sample, tcfiSample, Alpha, MaxLen, useIntersection = true)
     checkAll("TCFI replay on the sample", tcfiOnSample.check)
     val tcfaTally = replays(1).tally
     m("localtruss.peel_in_mean.tcfa_over_tcfi") = (tcfaTally.peelInMean / tcfiOnSample.tally.peelInMean, "ratio")
@@ -347,7 +354,7 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
   }
 
   /** Cross-path checks on one set of outputs, run in both modes. */
-  private def exactness(nets: Nets, o: Outputs): Unit = {
+  private def exactness(nets: Nets, o: Outputs, tcfiSample: MiningResult): Unit = {
     val tree = o.tree
     val nodes = tree.nodes
     val rnd = new Random(Workload.querySeed(seed))
@@ -366,7 +373,6 @@ final class Bench(spark: SparkSession, args: Main.Args, cores: Int, sessionS: Do
       .map(n => n.pattern -> n.trussAt(Alpha).sorted).toMap
     check("TCFI(0) equals QBA(S, 0) on patterns up to maxLen", fromTree == edgeSets(o.tcfi))
 
-    val tcfiSample = phase("TCFI on the sample")(TCFI.run(spark, nets.sample, Alpha, MaxLen))
     check("TCFA equals TCFI on the sample (NP/NV/NE)", sizes(o.tcfa) == sizes(tcfiSample))
     check("TCFA equals TCFI on the sample (truss edges)", edgeSets(o.tcfa) == edgeSets(tcfiSample))
 
@@ -386,17 +392,12 @@ object Bench {
   val Alpha = 0.0
   /** Edges in the BFS sample TCFA runs on. */
   val SampleEdges = 2000
-  /** Edges in the BFS sample the miners warm up on. */
-  val WarmSampleEdges = 500
 
   val SetupReps = 3
-  val MinRounds = 1
+  val MinRounds = 2
   val MaxRounds = 10
-  val QbaPerSlice = 20
-  val QbpPerSlice = 1000
-  /** QBA p90 needs at least ten samples above it. */
-  val MinQba = 100
-  val MaxQba = 1000
+  val QbaPerRound = 2
+  val QbpPerRound = 1000
   val TracedQba = 5
   val TracedQbp = 2000
   val DecomposeSamples = 100
