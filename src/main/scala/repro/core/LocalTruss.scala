@@ -55,10 +55,11 @@ object Decomposition { val empty: Decomposition = Decomposition(Vector.empty) }
 object LocalTruss {
 
   /** Comparison tolerance for `eco > α`. Edge cohesions are sums of
-    * rational frequencies accumulated in different orders by the different
-    * implementations (initial sums, decremental peeling, DataFrame
-    * aggregation); a tie at exactly α would otherwise resolve differently
-    * per implementation. Real cohesion gaps are ≫ 1e-9, floating-point
+    * rational frequencies, and one cohesion is reached by different
+    * summation orders: an initial triangle sum, a sum after peeling
+    * decrements, or a decomposition threshold replayed by
+    * `Decomposition.trussAt`; a tie at exactly α would otherwise resolve
+    * differently per order. Real cohesion gaps are ≫ 1e-9, floating-point
     * noise is ≪ 1e-9, so "≤ α" is implemented as "≤ α + Eps" everywhere.
     */
   val Eps: Double = 1e-9
@@ -136,6 +137,14 @@ object LocalTruss {
       Truss(m.keysIterator.map(dekey).toVector.sorted, m)
     }
   }
+
+  /** Definition 3.1: the cohesion of every edge of the graph `edges`, keyed
+    * by `ekey` — the sums Algorithm 1 starts peeling from. A triangle-free
+    * edge has cohesion 0; with all frequencies 1 an edge's cohesion is the
+    * number of triangles through it.
+    */
+  def edgeCohesion(edges: Iterable[(Int, Int)], freq: Int => Double): Map[Long, Double] =
+    new PeelState(edges, freq).eco.toMap
 
   /** Algorithm 1: the maximal pattern truss C*_p(α) of the theme network
     * given by `edges` and vertex frequencies `freq`. The input need not be

@@ -67,7 +67,7 @@ object TCS {
     val candidates = sc
       .parallelize(0 until net.n, MinerOps.slices(spark, net.n))
       .flatMap { v =>
-        Frequency.localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
+        localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
       }
       .distinct()
       .collect()
@@ -82,6 +82,49 @@ object TCS {
     bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
     MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms))
+  }
+
+  /** Per-vertex frequent-pattern enumeration, the candidate step: all
+    * patterns p with f_v(p) > eps for the one vertex database `db`, up to
+    * `maxLen` items. Depth-first search over sorted items with tid-list
+    * intersection; the frequency threshold is anti-monotone so pruning is
+    * exact.
+    */
+  private[core] def localFrequentPatterns(db: IndexedSeq[Array[Int]], eps: Double, maxLen: Int): Vector[Vector[Int]] = {
+    val nTx = db.length
+    if (nTx == 0) return Vector.empty
+    val tid = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
+    for ((t, ti) <- db.zipWithIndex; item <- t.distinct)
+      tid.getOrElseUpdate(item, scala.collection.mutable.ArrayBuffer.empty) += ti
+    val items = tid.keys.toArray.sorted
+    val out = Vector.newBuilder[Vector[Int]]
+    def dfs(prefix: Vector[Int], prefixTids: Array[Int], startIdx: Int): Unit = {
+      var i = startIdx
+      while (i < items.length) {
+        val it = items(i)
+        val itTids = tid(it).toArray
+        val merged =
+          if (prefix.isEmpty) itTids
+          else {
+            val b = Array.newBuilder[Int]
+            var x = 0; var y = 0
+            while (x < prefixTids.length && y < itTids.length) {
+              if (prefixTids(x) == itTids(y)) { b += prefixTids(x); x += 1; y += 1 }
+              else if (prefixTids(x) < itTids(y)) x += 1
+              else y += 1
+            }
+            b.result()
+          }
+        if (merged.length.toDouble / nTx > eps) {
+          val p = prefix :+ it
+          out += p
+          if (p.length < maxLen) dfs(p, merged, i + 1)
+        }
+        i += 1
+      }
+    }
+    dfs(Vector.empty, Array.empty, 0)
+    out.result()
   }
 }
 

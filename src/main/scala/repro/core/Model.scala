@@ -1,60 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
-/** A database network G = (V, E, D, S) held as Spark DataFrames.
-  *
-  * Schemas (all column types are INT unless noted):
-  *  - `vertices(id)`
-  *  - `edges(src, dst)` with the canonical orientation `src < dst`
-  *    (the graph is undirected; one row per edge)
-  *  - `transactions(vertexId, txId BIGINT, item)` in long format: one row per
-  *    (transaction, item) occurrence. A transaction database is a multi-set,
-  *    so two transactions of the same vertex may contain identical item sets
-  *    under different `txId`s.
-  */
-final case class DatabaseNetwork(
-    vertices: DataFrame,
-    edges: DataFrame,
-    transactions: DataFrame,
-) {
-
-  /** Table 2 statistics of this database network. */
-  def stats: NetworkStats = {
-    val nV = vertices.count()
-    val nE = edges.count()
-    val row = transactions
-      .agg(
-        countDistinct(struct(col("vertexId"), col("txId"))) as "nTx",
-        count(lit(1))                                       as "itemsTotal",
-        countDistinct(col("item"))                          as "itemsUnique",
-      )
-      .head()
-    NetworkStats(nV, nE, row.getLong(0), row.getLong(1), row.getLong(2))
-  }
-
-  /** Materialise the network on the driver for per-pattern local work. */
-  def toCompact: CompactNetwork = {
-    val vs = vertices.select("id").collect().map(_.getInt(0)).sorted
-    require(vs.nonEmpty, "empty network")
-    val n = vs.length
-    require(vs.head == 0 && vs.last == n - 1, "vertex ids must be 0..n-1")
-    val adj = Array.fill(n)(scala.collection.mutable.ArrayBuffer.empty[Int])
-    edges.select("src", "dst").collect().foreach { r =>
-      val u = r.getInt(0); val v = r.getInt(1)
-      require(u < v, s"edge not canonical: ($u,$v)")
-      adj(u) += v; adj(v) += u
-    }
-    val txMap = Array.fill(n)(scala.collection.mutable.Map.empty[Long, scala.collection.mutable.ArrayBuffer[Int]])
-    transactions.select("vertexId", "txId", "item").collect().foreach { r =>
-      txMap(r.getInt(0)).getOrElseUpdate(r.getLong(1), scala.collection.mutable.ArrayBuffer.empty[Int]) += r.getInt(2)
-    }
-    val txs = txMap.map(m => m.toSeq.sortBy(_._1).map(_._2.toArray.distinct.sorted).toArray)
-    CompactNetwork(adj.map(_.toArray.distinct.sorted), txs)
-  }
-}
-
 /** Table 2 row: the five statistics the paper reports per dataset. */
 final case class NetworkStats(
     nVertices: Long,
@@ -64,49 +9,19 @@ final case class NetworkStats(
     nItemsUnique: Long,
 )
 
-object DatabaseNetwork {
-
-  /** Build the DataFrame model from driver-side collections.
-    *
-    * @param n     number of vertices (ids 0..n−1)
-    * @param edges undirected edges, any orientation, self-loops dropped
-    * @param txs   per-vertex transaction databases (txs(v) is the multi-set)
-    */
-  def fromLocal(
-      spark: SparkSession,
-      n: Int,
-      edges: Seq[(Int, Int)],
-      txs: IndexedSeq[Seq[Seq[Int]]],
-  ): DatabaseNetwork = {
-    import spark.implicits._
-    require(txs.length == n, s"txs has ${txs.length} entries for $n vertices")
-    val canon = edges.iterator
-      .filter { case (u, v) => u != v }
-      .map { case (u, v) => if (u < v) (u, v) else (v, u) }
-      .toSeq.distinct
-    val txRows = for {
-      v    <- 0 until n
-      (t, ti) <- txs(v).zipWithIndex
-      item <- t.distinct
-    } yield (v, (v.toLong << 20) | ti.toLong, item)
-    DatabaseNetwork(
-      spark.range(n).select($"id".cast("int") as "id"),
-      canon.toDF("src", "dst"),
-      txRows.toDF("vertexId", "txId", "item"),
-    )
-  }
-}
-
-/** Driver-side / broadcast-friendly view of a database network.
+/** A database network G = (V, E, D, S) held driver-side, broadcast to the
+  * miners' tasks.
   *
   * Holds sorted adjacency arrays and, per vertex, the transaction list plus
-  * an inverted index item → sorted tx indices, so that
-  * f_i(p) = |∩_{s∈p} txIdx(i)(s)| / |d_i| is an intersection of sorted int
-  * arrays — the hot loop of every miner.
+  * a tid-list index item → sorted tx indices (a `Map[Int, Array[Int]]` per
+  * vertex), so that f_i(p) = |∩_{s∈p} txIdx(i)(s)| / |d_i| is an
+  * intersection of sorted int arrays — the hot loop of every miner.
+  *
+  * Built only through `CompactNetwork.apply`, which validates the input.
   */
-final case class CompactNetwork(
-    adj: Array[Array[Int]],
-    txs: Array[Array[Array[Int]]],
+final class CompactNetwork private (
+    val adj: Array[Array[Int]],
+    val txs: Array[Array[Array[Int]]],
 ) extends Serializable {
 
   val n: Int = adj.length
@@ -128,6 +43,15 @@ final case class CompactNetwork(
   /** All distinct items in S (those appearing in at least one transaction). */
   lazy val items: Array[Int] =
     txs.iterator.flatMap(_.iterator.flatMap(_.iterator)).toArray.distinct.sorted
+
+  /** Table 2 statistics. Every transaction counts, an empty one included. */
+  def stats: NetworkStats = NetworkStats(
+    n.toLong,
+    nEdges.toLong,
+    txs.iterator.map(_.length.toLong).sum,
+    txs.iterator.flatMap(_.iterator).map(_.length.toLong).sum,
+    items.length.toLong,
+  )
 
   private def intersectSize(lists: Seq[Array[Int]]): Int = {
     if (lists.isEmpty) return 0
@@ -163,4 +87,39 @@ final case class CompactNetwork(
   /** Frequencies of p on every vertex, as a dense array. */
   def freqAll(p: Vector[Int]): Array[Double] =
     Array.tabulate(n)(freq(_, p))
+}
+
+object CompactNetwork {
+
+  /** Validates a database network and builds its compact view.
+    *
+    * @param n     number of vertices; ids are 0 until n
+    * @param edges undirected edges in either orientation; repeats are merged
+    * @param txs   txs(v) is the transaction database of v, a multi-set:
+    *              repeated transactions are kept, repeated items within one
+    *              transaction are merged
+    * @throws IllegalArgumentException if an endpoint lies outside [0, n), an
+    *         edge is a self-loop, or `txs` does not hold exactly n databases
+    */
+  def apply(n: Int, edges: Iterable[(Int, Int)], txs: IndexedSeq[Iterable[Iterable[Int]]]): CompactNetwork = {
+    require(txs.length == n, s"txs has ${txs.length} databases for $n vertices")
+    val adj = Array.fill(n)(Array.newBuilder[Int])
+    for ((u, v) <- edges) {
+      require(0 <= u && u < n && 0 <= v && v < n, s"edge ($u,$v) has an endpoint outside [0, $n)")
+      require(u != v, s"self-loop at vertex $u")
+      adj(u) += v; adj(v) += u
+    }
+    new CompactNetwork(
+      adj.map(b => sortedDistinct(b.result())),
+      txs.iterator.map(_.iterator.map(t => sortedDistinct(t.toArray)).toArray).toArray,
+    )
+  }
+
+  /** Sorts `a` in place and returns its distinct values. */
+  private def sortedDistinct(a: Array[Int]): Array[Int] = {
+    java.util.Arrays.sort(a)
+    var k = 0
+    for (i <- a.indices if i == 0 || a(i) != a(i - 1)) { a(k) = a(i); k += 1 }
+    if (k == a.length) a else java.util.Arrays.copyOf(a, k)
+  }
 }

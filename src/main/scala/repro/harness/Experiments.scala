@@ -29,9 +29,9 @@ object Experiments {
 
   final case class Table2Row(name: String, stats: NetworkStats)
 
-  /** Table 2: dataset statistics computed through the DataFrame pipeline. */
-  def table2(spark: SparkSession, datasets: Seq[DatasetSpec] = benchDatasets): Seq[Table2Row] =
-    datasets.map(d => Table2Row(d.name, d.gen().toDF(spark).stats))
+  /** Table 2: dataset statistics of each network's compact view. */
+  def table2(datasets: Seq[DatasetSpec] = benchDatasets): Seq[Table2Row] =
+    datasets.map(d => Table2Row(d.name, d.gen().compact.stats))
 
   def formatTable2(rows: Seq[Table2Row]): String = {
     val header = f"${"dataset"}%-8s ${"#Vertices"}%12s ${"#Edges"}%12s ${"#Tx"}%12s ${"#Items(tot)"}%12s ${"#Items(uniq)"}%12s"

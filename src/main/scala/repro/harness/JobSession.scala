@@ -3,15 +3,16 @@ package repro.harness
 import org.apache.spark.sql.SparkSession
 
 /** SparkSession factory for the `jobs/` spark-submit entrypoints. Mirrors
-  * the test configuration (broadcast joins off so shuffle paths are real).
+  * the test configuration; logs only warnings and errors.
   */
 object JobSession {
-  def get(appName: String): SparkSession =
-    SparkSession.builder
+  def get(appName: String): SparkSession = {
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(appName)
-      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", false)
       .getOrCreate()
+    spark.sparkContext.setLogLevel("WARN")
+    spark
+  }
 }

@@ -1,7 +1,6 @@
 package repro.netgen
 
-import org.apache.spark.sql.SparkSession
-import repro.core.{CompactNetwork, DatabaseNetwork}
+import repro.core.CompactNetwork
 
 import scala.collection.mutable
 import scala.util.Random
@@ -21,18 +20,8 @@ final case class GenNet(
 ) {
   def nEdges: Int = edges.length
 
-  def toDF(spark: SparkSession): DatabaseNetwork =
-    DatabaseNetwork.fromLocal(spark, n, edges, txs.map(_.map(_.toSeq)))
-
-  /** Direct compact view (no Spark round-trip) for the miners. */
-  def compact: CompactNetwork = {
-    val adj = Array.fill(n)(mutable.ArrayBuffer.empty[Int])
-    edges.foreach { case (u, v) => adj(u) += v; adj(v) += u }
-    CompactNetwork(
-      adj.map(_.toArray.distinct.sorted),
-      txs.map(_.map(_.distinct.sorted.toArray).toArray).toArray,
-    )
-  }
+  /** The validated compact view the miners and the index run on. */
+  def compact: CompactNetwork = CompactNetwork(n, edges, txs)
 }
 
 /** Synthetic stand-ins for the paper's four datasets (Section 7 / Table 2).

@@ -1,8 +1,6 @@
 package repro
 
-import repro.core.{CompactNetwork, DatabaseNetwork}
 import repro.netgen.{GenNet, NetGen}
-import org.apache.spark.sql.SparkSession
 
 import scala.util.Random
 
@@ -14,6 +12,21 @@ object TestNets {
     n = 3,
     edges = Vector((0, 1), (0, 2), (1, 2)),
     txs = Vector.fill(3)(Vector(Vector(0), Vector(0, 1))),
+  )
+
+  /** Edge cases of the model: v0 {0} {0,1} {1,2}; v1 {0,1}; v2 an empty
+    * database; v3 an empty transaction and {0,1} written with a repeated
+    * item. Edges repeat and come in both orientations.
+    */
+  def handNet: GenNet = GenNet(
+    n = 4,
+    edges = Vector((0, 1), (1, 0), (1, 2), (3, 1), (0, 3)),
+    txs = Vector(
+      Vector(Vector(0), Vector(0, 1), Vector(1, 2)),
+      Vector(Vector(0, 1)),
+      Vector.empty,
+      Vector(Vector.empty, Vector(1, 0, 1)),
+    ),
   )
 
   /** The running example of the paper's Figure 1, reconstructed concretely:
@@ -79,7 +92,4 @@ object TestNets {
     val f = Array.fill(n)(rnd.nextInt(11) / 10.0)
     v => f(v)
   }
-
-  def toDF(spark: SparkSession, g: GenNet): DatabaseNetwork = g.toDF(spark)
-  def compact(g: GenNet): CompactNetwork = g.compact
 }

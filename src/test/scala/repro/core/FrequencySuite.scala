@@ -1,134 +1,124 @@
 package repro.core
 
-import repro.{Oracle, SparkSpec, TestNets}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle.Table
+import repro.netgen.GenNet
+import repro.{Oracle, TestNets}
 
 import scala.util.Random
 
-/** DataFrame frequency pipeline vs. hand-computed values, the compact
-  * in-memory implementation, and the DuckDB oracle.
+/** Pattern frequencies f_v(p) (`CompactNetwork.freq`), the theme network G_p
+  * (`LocalTruss.themeInduce`) and TCS's per-vertex frequent patterns, against
+  * hand-computed values, brute force, and the definitions written as SQL on
+  * DuckDB over the raw network.
   */
-class FrequencySuite extends SparkSpec {
+class FrequencySuite extends AnyFunSuite {
 
-  private lazy val tiny: DatabaseNetwork = DatabaseNetwork.fromLocal(
-    spark, 3,
-    edges = Seq((0, 1), (1, 2)),
-    txs = Vector(
-      Seq(Seq(0), Seq(0, 1), Seq(1, 2)), // v0
-      Seq(Seq(0, 1)),                    // v1
-      Seq.empty,                         // v2: empty database
-    ),
-  )
+  private val hand = TestNets.handNet
 
-  private def freqMap(net: DatabaseNetwork, p: Vector[Int]): Map[Int, Double] =
-    Frequency.frequencies(net, p).collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
+  private def freqs(g: GenNet, p: Vector[Int]): Seq[Double] = g.compact.freqAll(p).toSeq
+
+  private def checkFreqSql(g: GenNet, p: Vector[Int]): Unit = {
+    val c = g.compact
+    Oracle.assertEquivalent(
+      Table(Seq("v", "freq"), (0 until c.n).map(v => (v, c.freq(v, p)))),
+      s"WITH ${Oracle.freqsSql(p)} SELECT v, freq FROM freqs",
+      Oracle.tables(g): _*,
+    )
+  }
+
+  private def themeEdges(g: GenNet, p: Vector[Int]): Vector[(Int, Int)] = {
+    val c = g.compact
+    LocalTruss.themeInduce(c.edgeList, MinerOps.freqFn(c, p))
+  }
 
   test("frequencies: hand-computed single-item values") {
-    assert(freqMap(tiny, Vector(0)) == Map(0 -> 2.0 / 3, 1 -> 1.0, 2 -> 0.0))
-    assert(freqMap(tiny, Vector(2)) == Map(0 -> 1.0 / 3, 1 -> 0.0, 2 -> 0.0))
+    assert(freqs(hand, Vector(0)) == Seq(2.0 / 3, 1.0, 0.0, 0.5))
+    assert(freqs(hand, Vector(2)) == Seq(1.0 / 3, 0.0, 0.0, 0.0))
   }
 
   test("frequencies: hand-computed pair pattern") {
-    assert(freqMap(tiny, Vector(0, 1)) == Map(0 -> 1.0 / 3, 1 -> 1.0, 2 -> 0.0))
+    assert(freqs(hand, Vector(0, 1)) == Seq(1.0 / 3, 1.0, 0.0, 0.5))
   }
 
   test("frequencies: empty pattern is 1 unless the database is empty") {
-    assert(freqMap(tiny, Vector.empty) == Map(0 -> 1.0, 1 -> 1.0, 2 -> 0.0))
+    // v3's empty transaction still counts towards |d_3|, and contains ∅.
+    assert(freqs(hand, Vector.empty) == Seq(1.0, 1.0, 0.0, 1.0))
   }
 
   test("frequencies: unseen item gives all zeros") {
-    assert(freqMap(tiny, Vector(99)).values.forall(_ == 0.0))
+    assert(freqs(hand, Vector(99)).forall(_ == 0.0))
   }
 
   test("frequencies: anti-monotone in the pattern (f(p1) >= f(p2) for p1 ⊆ p2)") {
-    val f1 = freqMap(tiny, Vector(0))
-    val f2 = freqMap(tiny, Vector(0, 1))
-    assert(f1.keySet.forall(v => f1(v) >= f2(v)))
+    val rnd = new Random(20)
+    for (g <- hand +: Seq.fill(3)(TestNets.randomNet(rnd));
+         (p1, p2) <- Seq(Vector.empty[Int] -> Vector(0), Vector(0) -> Vector(0, 1), Vector(1) -> Vector(0, 1))) {
+      val f1 = freqs(g, p1)
+      val f2 = freqs(g, p2)
+      assert(f1.indices.forall(v => f1(v) >= f2(v)), s"p1=$p1 p2=$p2")
+    }
   }
 
   test("frequencies agree with CompactNetwork.freq on random networks") {
     val rnd = new Random(21)
     for (_ <- 0 until 3) {
       val g = TestNets.randomNet(rnd)
-      val net = g.toDF(spark)
       val c = g.compact
-      for (p <- Seq(Vector(0), Vector(1, 2), Vector(0, 3))) {
-        val dfF = freqMap(net, p)
-        for (v <- 0 until g.n)
-          assert(math.abs(dfF(v) - c.freq(v, p)) < 1e-12, s"v=$v p=$p")
+      for (p <- Seq(Vector(0), Vector(1, 2), Vector(0, 3)); v <- 0 until g.n) {
+        val db = g.txs(v)
+        val expect = db.count(t => p.forall(t.contains)).toDouble / db.length
+        assert(math.abs(c.freq(v, p) - expect) < 1e-12, s"v=$v p=$p")
       }
     }
   }
 
   test("frequencies match DuckDB (single item)") {
-    Oracle.assertEquivalent(
-      Frequency.frequencies(tiny, Vector(0)),
-      """WITH tx AS (SELECT CAST(vertexId AS INT) v, txId, CAST(item AS INT) it FROM transactions),
-        |     n AS (SELECT v, COUNT(DISTINCT txId) nTx FROM tx GROUP BY v),
-        |     m AS (SELECT v, COUNT(*) nMatch FROM (
-        |             SELECT v, txId FROM tx WHERE it IN (0)
-        |             GROUP BY v, txId HAVING COUNT(DISTINCT it) = 1) q
-        |           GROUP BY v)
-        |SELECT CAST(ver.id AS INT) AS vertexId,
-        |       CASE WHEN n.nTx IS NULL THEN 0.0
-        |            ELSE CAST(COALESCE(m.nMatch, 0) AS DOUBLE) / n.nTx END AS freq
-        |FROM vertices ver
-        |LEFT JOIN n ON n.v = CAST(ver.id AS INT)
-        |LEFT JOIN m ON m.v = CAST(ver.id AS INT)""".stripMargin,
-      "transactions" -> tiny.transactions,
-      "vertices" -> tiny.vertices,
-    )
+    Seq(Vector(0), Vector(2), Vector(99)).foreach(checkFreqSql(hand, _))
+    val rnd = new Random(21)
+    for (_ <- 0 until 2; p <- Seq(Vector(0), Vector(3)))
+      checkFreqSql(TestNets.randomNet(rnd), p)
   }
 
   test("frequencies match DuckDB (pair pattern, random network)") {
-    val g = TestNets.randomNet(new Random(22))
-    val net = g.toDF(spark)
-    Oracle.assertEquivalent(
-      Frequency.frequencies(net, Vector(1, 2)),
-      """WITH tx AS (SELECT CAST(vertexId AS INT) v, txId, CAST(item AS INT) it FROM transactions),
-        |     n AS (SELECT v, COUNT(DISTINCT txId) nTx FROM tx GROUP BY v),
-        |     m AS (SELECT v, COUNT(*) nMatch FROM (
-        |             SELECT v, txId FROM tx WHERE it IN (1, 2)
-        |             GROUP BY v, txId HAVING COUNT(DISTINCT it) = 2) q
-        |           GROUP BY v)
-        |SELECT CAST(ver.id AS INT) AS vertexId,
-        |       CASE WHEN n.nTx IS NULL THEN 0.0
-        |            ELSE CAST(COALESCE(m.nMatch, 0) AS DOUBLE) / n.nTx END AS freq
-        |FROM vertices ver
-        |LEFT JOIN n ON n.v = CAST(ver.id AS INT)
-        |LEFT JOIN m ON m.v = CAST(ver.id AS INT)""".stripMargin,
-      "transactions" -> net.transactions,
-      "vertices" -> net.vertices,
-    )
+    Seq(Vector(0, 1), Vector.empty[Int]).foreach(checkFreqSql(hand, _))
+    val rnd = new Random(22)
+    for (_ <- 0 until 2; p <- Seq(Vector(1, 2), Vector(0, 3)))
+      checkFreqSql(TestNets.randomNet(rnd), p)
   }
 
   test("themeNetwork keeps exactly the edges between positive-frequency vertices") {
-    val f = Frequency.frequencies(tiny, Vector(0)) // v0, v1 positive; v2 zero
-    val edges = Frequency.themeNetwork(tiny.edges, f)
-      .collect().map(r => (r.getInt(0), r.getInt(1))).toSet
-    assert(edges == Set((0, 1)))
+    // f(0) is positive on v0, v1, v3 and zero on v2; f(2) only on v0.
+    assert(themeEdges(hand, Vector(0)).toSet == Set((0, 1), (0, 3), (1, 3)))
+    assert(themeEdges(hand, Vector(2)).isEmpty)
   }
 
   test("themeNetwork matches DuckDB join") {
-    val g = TestNets.randomNet(new Random(23))
-    val net = g.toDF(spark)
-    val f = Frequency.frequencies(net, Vector(0))
-    Oracle.assertEquivalent(
-      Frequency.themeNetwork(net.edges, f),
-      """WITH f AS (SELECT CAST(vertexId AS INT) v FROM freqs WHERE CAST(freq AS DOUBLE) > 0)
-        |SELECT CAST(e.src AS INT) AS src, CAST(e.dst AS INT) AS dst
-        |FROM edges e
-        |JOIN f a ON a.v = CAST(e.src AS INT)
-        |JOIN f b ON b.v = CAST(e.dst AS INT)""".stripMargin,
-      "edges" -> net.edges,
-      "freqs" -> f,
-    )
+    def check(g: GenNet, p: Vector[Int]): Unit =
+      Oracle.assertEquivalent(
+        Table(Seq("src", "dst"), themeEdges(g, p)),
+        s"""WITH ${Oracle.freqsSql(p)},
+           |     e AS (SELECT DISTINCT LEAST(src, dst) AS s, GREATEST(src, dst) AS d FROM edges)
+           |SELECT e.s AS src, e.d AS dst
+           |FROM e JOIN freqs a ON a.v = e.s JOIN freqs b ON b.v = e.d
+           |WHERE a.freq > 0 AND b.freq > 0""".stripMargin,
+        Oracle.tables(g): _*,
+      )
+    Seq(Vector(0), Vector(2), Vector(0, 1), Vector.empty[Int], Vector(99)).foreach(check(hand, _))
+    val rnd = new Random(23)
+    for (_ <- 0 until 3; p <- Seq(Vector(0), Vector(1, 2)))
+      check(TestNets.randomNet(rnd), p)
   }
 
   test("themeNetwork of the empty pattern is the whole graph (non-empty DBs)") {
-    val g = TestNets.triangleNet
-    val net = g.toDF(spark)
-    val f = Frequency.frequencies(net, Vector.empty)
-    assert(Frequency.themeNetwork(net.edges, f).count() == 3)
+    assert(themeEdges(TestNets.triangleNet, Vector.empty).length == 3)
+    val rnd = new Random(23)
+    for (_ <- 0 until 3) {
+      val g = TestNets.randomNet(rnd)
+      assert(themeEdges(g, Vector.empty).length == g.compact.nEdges)
+    }
+    // v2's empty database drops its one edge (1,2).
+    assert(themeEdges(hand, Vector.empty).toSet == Set((0, 1), (0, 3), (1, 3)))
   }
 
   // --------------------------------------------- localFrequentPatterns (TCS)
@@ -136,27 +126,27 @@ class FrequencySuite extends SparkSpec {
   test("localFrequentPatterns: hand case with strict threshold") {
     val db = IndexedSeq(Array(0, 1), Array(0, 1), Array(0, 2), Array(2))
     // f(0)=0.75, f(1)=0.5, f(2)=0.5, f(01)=0.5, f(02)=0.25
-    val got = Frequency.localFrequentPatterns(db, 0.4, 6).toSet
+    val got = TCS.localFrequentPatterns(db, 0.4, 6).toSet
     assert(got == Set(Vector(0), Vector(1), Vector(2), Vector(0, 1)))
     // strictness: eps = 0.5 excludes everything at frequency exactly 0.5
-    assert(Frequency.localFrequentPatterns(db, 0.5, 6).toSet == Set(Vector(0)))
+    assert(TCS.localFrequentPatterns(db, 0.5, 6).toSet == Set(Vector(0)))
   }
 
   test("localFrequentPatterns respects maxLen") {
     val db = IndexedSeq(Array(0, 1, 2), Array(0, 1, 2))
-    val got = Frequency.localFrequentPatterns(db, 0.1, 2)
+    val got = TCS.localFrequentPatterns(db, 0.1, 2)
     assert(got.forall(_.length <= 2))
     assert(got.contains(Vector(0, 1)))
     assert(!got.contains(Vector(0, 1, 2)))
   }
 
   test("localFrequentPatterns of an empty database is empty") {
-    assert(Frequency.localFrequentPatterns(IndexedSeq.empty, 0.0, 6).isEmpty)
+    assert(TCS.localFrequentPatterns(IndexedSeq.empty, 0.0, 6).isEmpty)
   }
 
   test("localFrequentPatterns handles duplicate transactions (multi-set)") {
     val db = IndexedSeq(Array(3), Array(3), Array(3), Array(4))
-    assert(Frequency.localFrequentPatterns(db, 0.7, 6) == Vector(Vector(3)))
+    assert(TCS.localFrequentPatterns(db, 0.7, 6) == Vector(Vector(3)))
   }
 
   test("localFrequentPatterns matches brute force on random DBs (30 cases)") {
@@ -170,7 +160,7 @@ class FrequencySuite extends SparkSpec {
         db.count(t => p.forall(t.contains)).toDouble / db.length
       val expected = (1 to math.min(items.length, 6)).flatMap(k =>
         items.toVector.combinations(k).filter(p => freq(p) > eps)).toSet
-      val got = Frequency.localFrequentPatterns(db, eps, 6).toSet
+      val got = TCS.localFrequentPatterns(db, eps, 6).toSet
       assert(got == expected, s"db=${db.map(_.toList)} eps=$eps")
     }
   }
@@ -178,7 +168,7 @@ class FrequencySuite extends SparkSpec {
   test("localFrequentPatterns output is canonical and distinct") {
     val rnd = new Random(25)
     val db = IndexedSeq.fill(8)(Array.fill(4)(rnd.nextInt(6)).distinct.sorted)
-    val got = Frequency.localFrequentPatterns(db, 0.1, 6)
+    val got = TCS.localFrequentPatterns(db, 0.1, 6)
     assert(got.forall(p => p == p.distinct.sorted))
     assert(got.distinct == got)
   }

@@ -1,12 +1,16 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.Oracle.Table
+import repro.netgen.{GenNet, NetGen}
+import repro.{Oracle, TestNets}
 
 import scala.util.Random
 
 /** Algorithm 1 (MPTD), the Theorem 6.1 decomposition, and theme-community
   * extraction, on hand-built graphs plus randomized cases verified against
-  * brute-force enumeration of all pattern trusses.
+  * brute-force enumeration of all pattern trusses and against Definition 3.1
+  * written as SQL on DuckDB.
   */
 class LocalTrussSuite extends AnyFunSuite {
   import LocalTruss._
@@ -231,8 +235,47 @@ class LocalTrussSuite extends AnyFunSuite {
   }
 
   test("decompose of an empty/triangle-free graph is empty") {
+    assert(mptd(Vector.empty[(Int, Int)], one, 0.0).isEmpty)
     assert(decompose(Vector.empty[(Int, Int)], one).isEmpty)
     assert(decompose(Vector((0, 1), (1, 2)), one).isEmpty)
+  }
+
+  test("surviving mptd cohesions match Definition 3.1 in SQL over the truss's own edges") {
+    var nonEmpty = 0
+    def check(g: GenNet, p: Vector[Int], alpha: Double): Unit = {
+      val c = g.compact
+      val f = MinerOps.freqFn(c, p)
+      val t = mptd(themeInduce(c.edgeList, f), f, alpha)
+      assert(t.cohesion.valuesIterator.forall(_ > alpha))
+      if (!t.isEmpty) nonEmpty += 1
+      Oracle.assertEquivalent(
+        Table(Seq("src", "dst", "eco"),
+              t.edges.map { case (u, v) => (u, v, t.cohesion(ekey(u, v))) }),
+        s"""WITH ${Oracle.freqsSql(p)},
+           |     tri AS (SELECT e1.src AS a, e1.dst AS b, e2.dst AS c
+           |             FROM truss e1 JOIN truss e2 ON e2.src = e1.dst
+           |                           JOIN truss e3 ON e3.src = e1.src AND e3.dst = e2.dst),
+           |     tm AS (SELECT a, b, c, LEAST(fa.freq, fb.freq, fc.freq) AS m
+           |            FROM tri JOIN freqs fa ON fa.v = a
+           |                     JOIN freqs fb ON fb.v = b
+           |                     JOIN freqs fc ON fc.v = c),
+           |     contrib AS (SELECT a AS s, b AS d, m FROM tm
+           |                 UNION ALL SELECT a, c, m FROM tm
+           |                 UNION ALL SELECT b, c, m FROM tm)
+           |SELECT truss.src AS src, truss.dst AS dst, COALESCE(SUM(contrib.m), 0.0) AS eco
+           |FROM truss LEFT JOIN contrib ON contrib.s = truss.src AND contrib.d = truss.dst
+           |GROUP BY truss.src, truss.dst""".stripMargin,
+        Oracle.tables(g) :+ ("truss" -> Table(Seq("src", "dst"), t.edges)): _*,
+      )
+    }
+    val rnd = new Random(41)
+    for (_ <- 0 until 4; p <- Seq(Vector(0), Vector(1)); alpha <- Seq(0.0, 0.2))
+      check(TestNets.randomNet(rnd), p, alpha)
+    val sample = NetGen.bfsSample(TestNets.smallPlanted(), 60)
+    val items = sample.compact.items
+    for (p <- Seq(Vector(items.head), Vector(items(1))); alpha <- Seq(0.0, 0.3))
+      check(sample, p, alpha)
+    assert(nonEmpty >= 5, s"only $nonEmpty of the checked trusses are non-empty")
   }
 
   // ------------------------------------------------------ connected components
