@@ -13,10 +13,8 @@ final case class Truss(edges: Vector[(Int, Int)], cohesion: Map[Long, Double]) {
   def minCohesion: Double = if (edges.isEmpty) 0.0 else cohesion.valuesIterator.min
 
   /** Edge-set intersection with another truss (Proposition 5.3 pruning). */
-  def intersectEdges(other: Truss): Vector[(Int, Int)] = {
-    val keys = other.cohesion.keySet
-    edges.filter(e => keys.contains(LocalTruss.ekey(e._1, e._2)))
-  }
+  def intersectEdges(other: Truss): Vector[(Int, Int)] =
+    LocalTruss.intersect(LocalTruss.sortedKeys(edges), LocalTruss.sortedKeys(other.edges))
 }
 
 object Truss {
@@ -70,6 +68,24 @@ object LocalTruss {
     else       (v.toLong << 32) | (u.toLong & 0xffffffffL)
 
   def dekey(k: Long): (Int, Int) = ((k >> 32).toInt, k.toInt)
+
+  /** The keys of `edges`, ascending. */
+  def sortedKeys(edges: Iterable[(Int, Int)]): Array[Long] =
+    edges.iterator.map(e => ekey(e._1, e._2)).toArray.sorted
+
+  /** Proposition 5.3 intersection: the edges whose keys are in both
+    * ascending key arrays, in ascending order.
+    */
+  def intersect(a: Array[Long], b: Array[Long]): Vector[(Int, Int)] = {
+    val out = Vector.newBuilder[(Int, Int)]
+    var i = 0; var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out += dekey(a(i)); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    out.result()
+  }
 
   /** Induce the theme network G_p restricted to `edges`: keep only edges
     * whose both endpoints have positive pattern frequency.

@@ -6,13 +6,16 @@ import org.apache.spark.sql.SparkSession
   * `mptdCalls` is the number of MPTD invocations (Figure 3 discussion),
   * `candidates` the number of candidate patterns examined, and
   * `prunedByIntersection` the TCFI candidates discarded because the parent
-  * trusses' intersection was empty (no MPTD run).
+  * trusses' intersection was empty (no MPTD run). `truncated` is true when
+  * the run stopped at its `maxLen` cap while patterns of that length still
+  * qualified, so longer qualified patterns may be missing from the result.
   */
 final case class MinerStats(
     mptdCalls: Long,
     candidates: Long,
     prunedByIntersection: Long,
     timeMs: Long,
+    truncated: Boolean,
 )
 
 /** Result of a miner run: every non-empty maximal pattern truss keyed by its
@@ -42,10 +45,13 @@ private[repro] object MinerOps {
     v => cache.computeIfAbsent(v, _ => net.freq(v, p)).doubleValue()
   }
 
-  /** MPTD on the theme network of `p` induced from the edge set `within`. */
-  def detect(net: CompactNetwork, p: Vector[Int], within: Iterable[(Int, Int)], alpha: Double): Truss = {
+  /** The per-pattern step: `kernel` (MPTD or the decomposition) on the theme
+    * network of `p` induced from the edge set `within`.
+    */
+  def step[R](net: CompactNetwork, p: Vector[Int], within: Iterable[(Int, Int)])
+             (kernel: (Vector[(Int, Int)], Int => Double) => R): R = {
     val f = freqFn(net, p)
-    LocalTruss.mptd(LocalTruss.themeInduce(within, f), f, alpha)
+    kernel(LocalTruss.themeInduce(within, f), f)
   }
 
   def slices(spark: SparkSession, nTasks: Int): Int =
@@ -61,6 +67,9 @@ private[repro] object MinerOps {
 object TCS {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double, eps: Double,
           maxLen: Int = 6): MiningResult = {
+    require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
+    require(eps >= 0.0, s"eps must be >= 0, got $eps")
+    require(maxLen >= 1, s"maxLen must be >= 1, got $maxLen")
     val t0 = System.nanoTime()
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
@@ -75,13 +84,14 @@ object TCS {
       .parallelize(candidates.toIndexedSeq, MinerOps.slices(spark, candidates.length))
       .map { p =>
         val n = bc.value
-        (p, MinerOps.detect(n, p, n.edgeList, alpha))
+        (p, MinerOps.step(n, p, n.edgeList)(LocalTruss.mptd(_, _, alpha)))
       }
       .filter(!_._2.isEmpty)
       .collect()
     bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms))
+    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
+                                         truncated = candidates.exists(_.length == maxLen)))
   }
 
   /** Per-vertex frequent-pattern enumeration, the candidate step: all
@@ -128,88 +138,102 @@ object TCS {
   }
 }
 
-/** Theme Community Finder Apriori (Algorithm 3). Level-wise: qualified
-  * length-(k−1) patterns generate length-k candidates via Algorithm 2; each
-  * candidate's theme network is induced from the *full* database network and
-  * peeled by MPTD. Exact.
+/** Theme Community Finder Apriori (Algorithm 3): the level-wise engine with
+  * MPTD at α, each candidate's theme network induced from the *full*
+  * database network. Exact.
   */
 object TCFA {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
           maxLen: Int = 6): MiningResult =
-    Levelwise.run(spark, net, alpha, maxLen, useIntersection = false)
+    Levelwise.mine(spark, net, alpha, maxLen, withinParents = false)
 }
 
-/** Theme Community Finder Intersection (Section 5.3). Same level-wise loop
-  * as TCFA, but a candidate p^k = p^{k−1} ∪ q^{k−1} has its theme network
-  * induced from C*_{p^{k−1}}(α) ∩ C*_{q^{k−1}}(α) (Proposition 5.3); an empty
+/** Theme Community Finder Intersection (Section 5.3). Same engine as TCFA,
+  * but a candidate p^k = p^{k−1} ∪ q^{k−1} has its theme network induced
+  * from C*_{p^{k−1}}(α) ∩ C*_{q^{k−1}}(α) (Proposition 5.3); an empty
   * intersection prunes the candidate without running MPTD. Exact.
   */
 object TCFI {
   def run(spark: SparkSession, net: CompactNetwork, alpha: Double,
           maxLen: Int = 6): MiningResult =
-    Levelwise.run(spark, net, alpha, maxLen, useIntersection = true)
+    Levelwise.mine(spark, net, alpha, maxLen, withinParents = true)
 }
 
-private object Levelwise {
-  def run(spark: SparkSession, net: CompactNetwork, alpha: Double, maxLen: Int,
-          useIntersection: Boolean): MiningResult = {
+/** The level-wise set-enumeration engine of TCFA, TCFI and the TC-Tree build
+  * (Algorithms 3 and 4). Level 1 runs the kernel on every item's theme
+  * network; level k on the candidates Algorithm 2 joins from level k−1. Its
+  * all-subsets check is exact: C*_q = ∅ for a sub-pattern q forces C*_p = ∅
+  * (Proposition 5.2). With `withinParents` a candidate's theme network is
+  * induced from C*_{pa} ∩ C*_{pb} of its generating pair (Proposition 5.3),
+  * intersected before the level's job, and an empty intersection prunes it;
+  * without, from the full network. Each level is one Spark job over its candidates.
+  */
+private[repro] object Levelwise {
+
+  /** `levels(k − 1)` holds the qualified patterns of k items with their
+    * kernel results; `stats.mptdCalls` counts kernel calls.
+    */
+  final case class Run[R](levels: Vector[Map[Vector[Int], R]], stats: MinerStats)
+
+  /** TCFA or TCFI: the engine with MPTD at `alpha`. */
+  def mine(spark: SparkSession, net: CompactNetwork, alpha: Double, maxLen: Int,
+           withinParents: Boolean): MiningResult = {
+    require(alpha >= 0.0, s"alpha must be >= 0, got $alpha")
+    require(maxLen >= 1, s"maxLen must be >= 1, got $maxLen")
+    val r = run(spark, net, maxLen, withinParents)(LocalTruss.mptd(_, _, alpha))(_.edges)
+    MiningResult(r.levels.iterator.flatten.toMap, r.stats)
+  }
+
+  /** @param kernel  per-pattern kernel, run on the pattern's theme network
+    * @param edgesOf the edges of C*_p in a kernel result; a result with none
+    *                does not qualify
+    */
+  def run[R](spark: SparkSession, net: CompactNetwork, maxLen: Int, withinParents: Boolean)
+            (kernel: (Vector[(Int, Int)], Int => Double) => R)
+            (edgesOf: R => Vector[(Int, Int)]): Run[R] = {
     val t0 = System.nanoTime()
     val sc = spark.sparkContext
     val bc = sc.broadcast(net)
-    var mptdCalls = 0L
-    var pruned = 0L
-    var nCandidates = 0L
+    var kernelCalls, nCandidates, pruned = 0L
 
-    // Level 1: MPTD on every single-item theme network (Algorithm 3 line 1).
-    val items = net.items
-    nCandidates += items.length
-    mptdCalls += items.length
-    var level: Map[Vector[Int], Truss] = sc
-      .parallelize(items.toIndexedSeq, MinerOps.slices(spark, items.length))
-      .map { s =>
-        val n = bc.value
-        (Vector(s), MinerOps.detect(n, Vector(s), n.edgeList, alpha))
-      }
-      .filter(!_._2.isEmpty)
-      .collect()
-      .toMap
-    var all = level
+    // A task is a pattern and the edges its theme network is induced from;
+    // None stands for the full network.
+    def job(tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])]): Map[Vector[Int], R] = {
+      kernelCalls += tasks.length
+      if (tasks.isEmpty) Map.empty
+      else sc
+        .parallelize(tasks, MinerOps.slices(spark, tasks.length))
+        .map { case (p, within) =>
+          val n = bc.value
+          (p, MinerOps.step(n, p, within.getOrElse(n.edgeList.toIndexedSeq))(kernel))
+        }
+        .filter(r => edgesOf(r._2).nonEmpty)
+        .collect()
+        .toMap
+    }
+
+    nCandidates += net.items.length
+    var level = job(net.items.toIndexedSeq.map(s => (Vector(s), None)))
+    val levels = Vector.newBuilder[Map[Vector[Int], R]] += level
     var k = 2
-
     while (level.nonEmpty && k <= maxLen) {
       val cands = Pattern.aprioriJoin(level.keys.toSeq)
       nCandidates += cands.length
-      // TCFI (Section 5.3): intersect the generating parents' trusses on the
-      // driver (they are small local subgraphs); an empty intersection prunes
-      // the candidate with no MPTD call. TCFA peels within the full network.
-      val tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])] = cands.flatMap {
-        case (p, (pa, pb)) =>
-          if (!useIntersection) Some((p, None))
-          else {
-            val within = level(pa).intersectEdges(level(pb))
-            if (within.isEmpty) { pruned += 1; None }
-            else Some((p, Some(within)))
-          }
+      lazy val keys = level.view.mapValues(r => LocalTruss.sortedKeys(edgesOf(r))).toMap
+      val tasks = cands.flatMap { case (p, (pa, pb)) =>
+        if (!withinParents) Some((p, None))
+        else {
+          val within = LocalTruss.intersect(keys(pa), keys(pb))
+          if (within.isEmpty) { pruned += 1; None }
+          else Some((p, Some(within)))
+        }
       }
-      mptdCalls += tasks.length
-      val next =
-        if (tasks.isEmpty) Map.empty[Vector[Int], Truss]
-        else sc
-          .parallelize(tasks, MinerOps.slices(spark, tasks.length))
-          .map { case (p, withinOpt) =>
-            val n = bc.value
-            val within: Iterable[(Int, Int)] = withinOpt.getOrElse(n.edgeList.toIndexedSeq)
-            (p, MinerOps.detect(n, p, within, alpha))
-          }
-          .filter(!_._2.isEmpty)
-          .collect()
-          .toMap
-      all = all ++ next
-      level = next
+      level = job(tasks)
+      levels += level
       k += 1
     }
     bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(all, MinerStats(mptdCalls, nCandidates, pruned, ms))
+    Run(levels.result(), MinerStats(kernelCalls, nCandidates, pruned, ms, truncated = level.nonEmpty))
   }
 }

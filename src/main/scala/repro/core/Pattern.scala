@@ -50,22 +50,25 @@ object Pattern {
     * Pairs are joined in the classic prefix form: two sorted patterns that
     * share the first k−2 items produce exactly one length-k union, and every
     * length-k itemset with all subsets qualified is generated exactly once.
+    * The pair is (cand.init, cand.init.init :+ cand.last), the sub-patterns
+    * without the last and without the second-to-last item, so only the other
+    * k−2 sub-patterns are looked up.
     */
   def aprioriJoin(qualified: Seq[Vector[Int]])
       : Seq[(Vector[Int], (Vector[Int], Vector[Int]))] = {
     if (qualified.isEmpty) return Nil
     val k1 = qualified.head.length
     require(qualified.forall(_.length == k1), "all parents must share one length")
-    val qualSet = qualified.toSet
-    val byPrefix = qualified.groupBy(_.dropRight(1))
-    byPrefix.toSeq.sortBy(kv => key(kv._1)).flatMap { case (_, group) =>
+    val qualSet = new java.util.HashSet[Vector[Int]](qualified.length * 2)
+    qualified.foreach(qualSet.add)
+    qualified.groupBy(_.init).valuesIterator.flatMap { group =>
       val sorted = group.sortBy(_.last)
       for {
-        i <- sorted.indices
+        i <- sorted.indices.iterator
         j <- (i + 1) until sorted.length
         cand = sorted(i) :+ sorted(j).last
-        if subPatternsDropOne(cand).forall(qualSet.contains)
+        if (0 until k1 - 1).forall(d => qualSet.contains(cand.patch(d, Nil, 1)))
       } yield (cand, (sorted(i), sorted(j)))
-    }
+    }.toVector
   }
 }

@@ -30,9 +30,10 @@ final case class TCQueryResult(results: Vector[(Vector[Int], Vector[(Int, Int)])
 /** The Theme Community Tree (Section 6.2): a set-enumeration tree over the
   * item universe where each kept node stores the decomposition of its
   * pattern's maximal pattern truss at α = 0. Supports query answering for
-  * any (q, α_q) without recomputation (Algorithm 5).
+  * any (q, α_q) without recomputation (Algorithm 5). `stats` holds the
+  * build's counters, `mptdCalls` counting decompositions.
   */
-final class TCTree(val root: TCNode) {
+final class TCTree(val root: TCNode, val stats: MinerStats) {
 
   /** All non-root nodes in breadth-first order. */
   def nodes: Vector[TCNode] = {
@@ -92,76 +93,27 @@ object TCTree {
 
   /** Algorithm 4: build the TC-Tree of a database network.
     *
-    * Layer 1 (single items) is embarrassingly parallel — the paper uses
-    * OpenMP threads; we distribute the items over Spark tasks with the
-    * compact network broadcast. Deeper layers go level-by-level: each
-    * sibling pair (n_f, n_b) with s_{n_f} ≺ s_{n_b} yields candidate child
-    * pattern p_f ∪ p_b whose truss is computed *inside*
-    * C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3); empty intersections are
-    * pruned on the driver without shipping a task.
+    * The level-wise engine (`Levelwise`) decomposes every qualified
+    * pattern's theme network: layer 1 (single items) in one Spark job (the
+    * paper uses OpenMP threads), deeper candidates *inside*
+    * C*_{p_f}(0) ∩ C*_{p_b}(0) (Proposition 5.3). Each pattern is then
+    * attached under `pattern.init`, children in item order.
     *
     * @param maxDepth safety cap on pattern length (the enumeration
     *                 terminates on its own when decompositions are empty).
     */
   def build(spark: SparkSession, net: CompactNetwork, maxDepth: Int = Int.MaxValue): TCTree = {
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(net)
-
-    def computeDecomp(pattern: Vector[Int], within: Iterable[(Int, Int)], n: CompactNetwork): Decomposition = {
-      val f = MinerOps.freqFn(n, pattern)
-      LocalTruss.decompose(LocalTruss.themeInduce(within, f), f)
-    }
-
+    require(maxDepth >= 1, s"maxDepth must be >= 1, got $maxDepth")
+    val run = Levelwise.run(spark, net, maxDepth, withinParents = true)(LocalTruss.decompose)(_.trussAt(0.0))
     val root = new TCNode(-1, Vector.empty, Decomposition.empty)
-
-    // Layer 1: every item of S in parallel (Algorithm 4 lines 2-5).
-    val layer1 = sc
-      .parallelize(net.items.toIndexedSeq, MinerOps.slices(spark, net.items.length))
-      .map { s =>
-        val n = bc.value
-        (s, computeDecomp(Vector(s), n.edgeList, n))
-      }
-      .filter(!_._2.isEmpty)
-      .collect()
-      .sortBy(_._1)
-    layer1.foreach { case (s, d) => root.children += new TCNode(s, Vector(s), d) }
-
-    // Deeper layers, breadth-first (Algorithm 4 lines 6-12). `parentLevel`
-    // holds the nodes whose children form the deepest completed level; each
-    // such child group is a sibling set generating the next level.
-    var parentLevel: Vector[TCNode] = Vector(root)
-    var depth = 1
-    while (parentLevel.nonEmpty && depth < maxDepth) {
-      val parents = mutable.ArrayBuffer.empty[TCNode]
-      val tasks = mutable.ArrayBuffer.empty[(Int, Int, Vector[Int], Vector[(Int, Int)])]
-      for (p <- parentLevel if p.children.nonEmpty) {
-        val sib = p.children.sortBy(_.item).toVector
-        val edgeKeys = sib.map(n => n.trussAt(0.0).map(e => LocalTruss.ekey(e._1, e._2)).toSet)
-        for (i <- sib.indices; j <- (i + 1) until sib.length) {
-          val nf = sib(i); val nb = sib(j)
-          val inter = nf.trussAt(0.0).filter(e => edgeKeys(j).contains(LocalTruss.ekey(e._1, e._2)))
-          if (inter.nonEmpty) {
-            parents += nf
-            tasks += ((parents.length - 1, nb.item, nf.pattern :+ nb.item, inter))
-          }
-        }
-      }
-      if (tasks.nonEmpty) {
-        val results = sc
-          .parallelize(tasks.toIndexedSeq, MinerOps.slices(spark, tasks.length))
-          .map { case (ref, item, pattern, edges) =>
-            (ref, item, pattern, computeDecomp(pattern, edges, bc.value))
-          }
-          .filter(!_._4.isEmpty)
-          .collect()
-        results.sortBy(r => (r._1, r._2)).foreach { case (ref, item, pattern, d) =>
-          parents(ref).children += new TCNode(item, pattern, d)
-        }
-      }
-      parentLevel = parentLevel.flatMap(_.children)
-      depth += 1
+    var parents = Map(Vector.empty[Int] -> root)
+    for (level <- run.levels) {
+      parents = level.toSeq.sortBy(_._1.last).map { case (p, d) =>
+        val node = new TCNode(p.last, p, d)
+        parents(p.init).children += node
+        p -> node
+      }.toMap
     }
-    bc.destroy()
-    new TCTree(root)
+    new TCTree(root, run.stats)
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import repro.index.TCTree
 import repro.{SparkSpec, TestNets}
 
 import scala.util.Random
@@ -22,6 +23,60 @@ class MinersSuite extends SparkSpec {
         assert(math.abs(ta.cohesion(k) - tb.cohesion(k)) < 1e-9)
       }
     }
+  }
+
+  // ------------------------------------------------------- brute force
+
+  test("TCFA, TCFI and the TC-Tree equal per-pattern kernels on the full network (20 random networks)") {
+    // Reference without the level-wise engine: every non-empty sub-pattern of
+    // the item set, its theme network induced from the whole network.
+    def direct[R](c: CompactNetwork, p: Vector[Int])(kernel: (Vector[(Int, Int)], Int => Double) => R): R = {
+      val f = MinerOps.freqFn(c, p)
+      kernel(LocalTruss.themeInduce(c.edgeList, f), f)
+    }
+    val rnd = new Random(61)
+    var skippedByAllSubsets = 0L
+    for (_ <- 0 until 20) {
+      val c = TestNets.randomNet(rnd).compact
+      val subs = Pattern.allSubPatterns(c.items.toVector)
+      for (alpha <- Seq(0.0, 0.2, 0.5)) {
+        val expected = subs.map(p => p -> direct(c, p)(LocalTruss.mptd(_, _, alpha))).filter(!_._2.isEmpty).toMap
+        for (r <- Seq(TCFA.run(spark, c, alpha), TCFI.run(spark, c, alpha))) {
+          assert(r.trusses.keySet == expected.keySet, s"alpha=$alpha")
+          for ((p, t) <- r.trusses) assert(t.edges == expected(p).edges, s"alpha=$alpha p=${Pattern.key(p)}")
+        }
+      }
+
+      val decomps = subs.map(p => p -> direct(c, p)(LocalTruss.decompose)).filter(!_._2.isEmpty).toMap
+      val tree = TCTree.build(spark, c)
+      assert(tree.nodes.map(_.pattern).toSet == decomps.keySet)
+      for (n <- tree.nodes) {
+        val d = decomps(n.pattern)
+        assert(n.decomp.nodes.length == d.nodes.length, Pattern.key(n.pattern))
+        for (((a, ea), (b, eb)) <- n.decomp.nodes.zip(d.nodes)) {
+          assert(math.abs(a - b) <= LocalTruss.Eps && ea == eb, Pattern.key(n.pattern))
+        }
+        assert(n.children.map(_.item) == n.children.map(_.item).sorted)
+      }
+
+      // The build's counters against the sibling pairs of the reference: a
+      // pair with a non-empty intersection is decomposed unless its union has
+      // an unqualified sub-pattern (Algorithm 2's all-subsets check).
+      var calls, pruned = 0L
+      for {
+        (pa, ta) <- decomps; (pb, tb) <- decomps
+        if pa.length == pb.length && pa.init == pb.init && pa.last < pb.last
+      } {
+        val inter = ta.trussAt(0.0).toSet intersect tb.trussAt(0.0).toSet
+        val allSubsets = Pattern.subPatternsDropOne(pa :+ pb.last).forall(decomps.contains)
+        if (!allSubsets) { if (inter.nonEmpty) skippedByAllSubsets += 1 }
+        else if (inter.isEmpty) pruned += 1
+        else calls += 1
+      }
+      assert(tree.stats.mptdCalls == c.items.length + calls)
+      assert(tree.stats.prunedByIntersection == pruned)
+    }
+    assert(skippedByAllSubsets > 0)
   }
 
   // ------------------------------------------------------------ tiny network
@@ -172,6 +227,33 @@ class MinersSuite extends SparkSpec {
     val c = TestNets.smallPlanted().compact
     val r = TCFI.run(spark, c, 0.0, maxLen = 2)
     assert(r.trusses.keys.forall(_.length <= 2))
+    assert(r.stats.truncated)
+    assert(TCS.run(spark, c, 0.0, eps = 0.1, maxLen = 2).stats.truncated)
+    // On the triangle net every run ends by itself before the default cap.
+    val tri = TestNets.triangleNet.compact
+    assert(!TCFA.run(spark, tri, 0.0).stats.truncated)
+    assert(!TCFI.run(spark, tri, 0.0).stats.truncated)
+    assert(!TCS.run(spark, tri, 0.0, eps = 0.1).stats.truncated)
+  }
+
+  // ------------------------------------------------------- input validation
+
+  test("a negative alpha is rejected before any Spark job by TCS, TCFA and TCFI") {
+    val c = TestNets.triangleNet.compact
+    intercept[IllegalArgumentException](TCS.run(spark, c, -0.1, eps = 0.1))
+    intercept[IllegalArgumentException](TCFA.run(spark, c, -0.1))
+    intercept[IllegalArgumentException](TCFI.run(spark, c, -0.1))
+  }
+
+  test("a negative eps is rejected by TCS") {
+    intercept[IllegalArgumentException](TCS.run(spark, TestNets.triangleNet.compact, 0.1, eps = -0.1))
+  }
+
+  test("maxLen below 1 is rejected by TCS, TCFA and TCFI") {
+    val c = TestNets.triangleNet.compact
+    intercept[IllegalArgumentException](TCS.run(spark, c, 0.1, eps = 0.1, maxLen = 0))
+    intercept[IllegalArgumentException](TCFA.run(spark, c, 0.1, maxLen = 0))
+    intercept[IllegalArgumentException](TCFI.run(spark, c, 0.1, maxLen = 0))
   }
 
   test("communities partition each truss's vertices") {

@@ -88,6 +88,8 @@ class PatternSuite extends AnyFunSuite {
     for ((cand, (pa, pb)) <- Pattern.aprioriJoin(parents)) {
       assert(Pattern(pa ++ pb) == cand)
       assert(pa != pb)
+      assert(pa == cand.init)
+      assert(pb == cand.init.init :+ cand.last)
     }
   }
 

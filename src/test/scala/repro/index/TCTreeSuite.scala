@@ -133,6 +133,12 @@ class TCTreeSuite extends SparkSpec {
     assert(shallow.nodes.forall(_.pattern.length == 1))
     assert(shallow.nodes.map(_.pattern).toSet ==
       plantedExact.trusses.keySet.filter(_.length == 1))
+    assert(shallow.stats.truncated)
+    assert(!triTree.stats.truncated)
+  }
+
+  test("maxDepth below 1 is rejected") {
+    intercept[IllegalArgumentException](TCTree.build(spark, TestNets.triangleNet.compact, maxDepth = 0))
   }
 
   test("nodesAtDepth partitions the nodes by pattern length") {
