@@ -19,9 +19,7 @@ object Fig4Scalability {
       )
       for ((name, base, sizes) <- runs) {
         println(s"== Figure 4 scalability on $name ==")
-        println(Experiments.formatFig4(
-          Experiments.fig4(spark, base, sizes, tcsCutoff = sizes(sizes.length - 2),
-                           tcfaCutoff = sizes.last)))
+        println(Experiments.formatFig4(Experiments.fig4(spark, base, sizes)))
       }
     } finally spark.stop()
   }

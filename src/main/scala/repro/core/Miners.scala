@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.broadcast.Broadcast
 import org.apache.spark.sql.SparkSession
 
 /** Counters reported by the paper's efficiency study (Section 7):
@@ -45,15 +46,6 @@ private[repro] object MinerOps {
     v => cache.computeIfAbsent(v, _ => net.freq(v, p)).doubleValue()
   }
 
-  /** The per-pattern step: `kernel` (MPTD or the decomposition) on the theme
-    * network of `p` induced from the edge set `within`.
-    */
-  def step[R](net: CompactNetwork, p: Vector[Int], within: Iterable[(Int, Int)])
-             (kernel: (Vector[(Int, Int)], Int => Double) => R): R = {
-    val f = freqFn(net, p)
-    kernel(LocalTruss.themeInduce(within, f), f)
-  }
-
   def slices(spark: SparkSession, nTasks: Int): Int =
     math.max(1, math.min(nTasks, spark.sparkContext.defaultParallelism * 2))
 }
@@ -75,64 +67,38 @@ object TCS {
     val bc = sc.broadcast(net)
     val candidates = sc
       .parallelize(0 until net.n, MinerOps.slices(spark, net.n))
-      .flatMap { v =>
-        localFrequentPatterns(bc.value.txs(v).toIndexedSeq, eps, maxLen)
-      }
+      .flatMap(v => localFrequentPatterns(bc.value, v, eps, maxLen))
       .distinct()
       .collect()
-    val found = sc
-      .parallelize(candidates.toIndexedSeq, MinerOps.slices(spark, candidates.length))
-      .map { p =>
-        val n = bc.value
-        (p, MinerOps.step(n, p, n.edgeList)(LocalTruss.mptd(_, _, alpha)))
-      }
-      .filter(!_._2.isEmpty)
-      .collect()
+    val found = Levelwise.job(spark, bc, candidates.toIndexedSeq.map(p => (p, None)))(
+      LocalTruss.mptd(_, _, alpha))(_.edges)
     bc.destroy()
     val ms = (System.nanoTime() - t0) / 1000000
-    MiningResult(found.toMap, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
-                                         truncated = candidates.exists(_.length == maxLen)))
+    MiningResult(found, MinerStats(candidates.length.toLong, candidates.length.toLong, 0L, ms,
+                                   truncated = candidates.exists(_.length == maxLen)))
   }
 
   /** Per-vertex frequent-pattern enumeration, the candidate step: all
-    * patterns p with f_v(p) > eps for the one vertex database `db`, up to
-    * `maxLen` items. Depth-first search over sorted items with tid-list
-    * intersection; the frequency threshold is anti-monotone so pruning is
-    * exact.
+    * patterns p with f_v(p) > eps on vertex `v` of `net`, up to `maxLen`
+    * items. Depth-first search over sorted items, intersecting the
+    * network's tid-lists; the frequency threshold is anti-monotone so
+    * pruning is exact.
     */
-  private[core] def localFrequentPatterns(db: IndexedSeq[Array[Int]], eps: Double, maxLen: Int): Vector[Vector[Int]] = {
-    val nTx = db.length
-    if (nTx == 0) return Vector.empty
-    val tid = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.ArrayBuffer[Int]]
-    for ((t, ti) <- db.zipWithIndex; item <- t.distinct)
-      tid.getOrElseUpdate(item, scala.collection.mutable.ArrayBuffer.empty) += ti
-    val items = tid.keys.toArray.sorted
+  private[core] def localFrequentPatterns(net: CompactNetwork, v: Int, eps: Double, maxLen: Int): Vector[Vector[Int]] = {
+    val nTx = net.txs(v).length
+    val tids = net.txIndex(v)
+    val items = tids.keys.toArray.sorted
     val out = Vector.newBuilder[Vector[Int]]
-    def dfs(prefix: Vector[Int], prefixTids: Array[Int], startIdx: Int): Unit = {
-      var i = startIdx
-      while (i < items.length) {
-        val it = items(i)
-        val itTids = tid(it).toArray
+    def dfs(prefix: Vector[Int], prefixTids: Array[Int], startIdx: Int): Unit =
+      for (i <- startIdx until items.length) {
         val merged =
-          if (prefix.isEmpty) itTids
-          else {
-            val b = Array.newBuilder[Int]
-            var x = 0; var y = 0
-            while (x < prefixTids.length && y < itTids.length) {
-              if (prefixTids(x) == itTids(y)) { b += prefixTids(x); x += 1; y += 1 }
-              else if (prefixTids(x) < itTids(y)) x += 1
-              else y += 1
-            }
-            b.result()
-          }
+          if (prefix.isEmpty) tids(items(i)) else CompactNetwork.intersect(prefixTids, tids(items(i)))
         if (merged.length.toDouble / nTx > eps) {
-          val p = prefix :+ it
+          val p = prefix :+ items(i)
           out += p
           if (p.length < maxLen) dfs(p, merged, i + 1)
         }
-        i += 1
       }
-    }
     dfs(Vector.empty, Array.empty, 0)
     out.result()
   }
@@ -192,28 +158,16 @@ private[repro] object Levelwise {
             (kernel: (Vector[(Int, Int)], Int => Double) => R)
             (edgesOf: R => Vector[(Int, Int)]): Run[R] = {
     val t0 = System.nanoTime()
-    val sc = spark.sparkContext
-    val bc = sc.broadcast(net)
+    val bc = spark.sparkContext.broadcast(net)
     var kernelCalls, nCandidates, pruned = 0L
 
-    // A task is a pattern and the edges its theme network is induced from;
-    // None stands for the full network.
-    def job(tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])]): Map[Vector[Int], R] = {
+    def levelJob(tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])]): Map[Vector[Int], R] = {
       kernelCalls += tasks.length
-      if (tasks.isEmpty) Map.empty
-      else sc
-        .parallelize(tasks, MinerOps.slices(spark, tasks.length))
-        .map { case (p, within) =>
-          val n = bc.value
-          (p, MinerOps.step(n, p, within.getOrElse(n.edgeList.toIndexedSeq))(kernel))
-        }
-        .filter(r => edgesOf(r._2).nonEmpty)
-        .collect()
-        .toMap
+      job(spark, bc, tasks)(kernel)(edgesOf)
     }
 
     nCandidates += net.items.length
-    var level = job(net.items.toIndexedSeq.map(s => (Vector(s), None)))
+    var level = levelJob(net.items.toIndexedSeq.map(s => (Vector(s), None)))
     val levels = Vector.newBuilder[Map[Vector[Int], R]] += level
     var k = 2
     while (level.nonEmpty && k <= maxLen) {
@@ -228,7 +182,7 @@ private[repro] object Levelwise {
           else Some((p, Some(within)))
         }
       }
-      level = job(tasks)
+      level = levelJob(tasks)
       levels += level
       k += 1
     }
@@ -236,4 +190,25 @@ private[repro] object Levelwise {
     val ms = (System.nanoTime() - t0) / 1000000
     Run(levels.result(), MinerStats(kernelCalls, nCandidates, pruned, ms, truncated = level.nonEmpty))
   }
+
+  /** One Spark job over `tasks`, each a pattern p and the edges its theme
+    * network is induced from (None: the full network): `kernel` on that
+    * theme network, keeping the results with a non-empty C*_p. TCS's MPTD
+    * phase calls it too.
+    */
+  def job[R](spark: SparkSession, bc: Broadcast[CompactNetwork],
+             tasks: Seq[(Vector[Int], Option[Vector[(Int, Int)]])])
+            (kernel: (Vector[(Int, Int)], Int => Double) => R)
+            (edgesOf: R => Vector[(Int, Int)]): Map[Vector[Int], R] =
+    if (tasks.isEmpty) Map.empty
+    else spark.sparkContext
+      .parallelize(tasks, MinerOps.slices(spark, tasks.length))
+      .map { case (p, within) =>
+        val n = bc.value
+        val f = MinerOps.freqFn(n, p)
+        (p, kernel(LocalTruss.themeInduce(within.getOrElse(n.edgeList.toIndexedSeq), f), f))
+      }
+      .filter(r => edgesOf(r._2).nonEmpty)
+      .collect()
+      .toMap
 }

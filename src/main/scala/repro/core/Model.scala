@@ -15,7 +15,8 @@ final case class NetworkStats(
   * Holds sorted adjacency arrays and, per vertex, the transaction list plus
   * a tid-list index item → sorted tx indices (a `Map[Int, Array[Int]]` per
   * vertex), so that f_i(p) = |∩_{s∈p} txIdx(i)(s)| / |d_i| is an
-  * intersection of sorted int arrays — the hot loop of every miner.
+  * intersection of sorted int arrays — the hot loop of every miner. TCS's
+  * per-vertex candidate search walks the same tid-lists.
   *
   * Built only through `CompactNetwork.apply`, which validates the input.
   */
@@ -53,20 +54,10 @@ final class CompactNetwork private (
     items.length.toLong,
   )
 
+  /** |∩ lists| for a non-empty `lists`, starting from the shortest. */
   private def intersectSize(lists: Seq[Array[Int]]): Int = {
-    if (lists.isEmpty) return 0
     var acc = lists.minBy(_.length)
-    for (l <- lists if !(l eq acc)) {
-      val out = Array.newBuilder[Int]
-      var i = 0; var j = 0
-      while (i < acc.length && j < l.length) {
-        if (acc(i) == l(j)) { out += acc(i); i += 1; j += 1 }
-        else if (acc(i) < l(j)) i += 1
-        else j += 1
-      }
-      acc = out.result()
-      if (acc.isEmpty) return 0
-    }
+    for (l <- lists if !(l eq acc) && acc.nonEmpty) acc = CompactNetwork.intersect(acc, l)
     acc.length
   }
 
@@ -113,6 +104,20 @@ object CompactNetwork {
       adj.map(b => sortedDistinct(b.result())),
       txs.iterator.map(_.iterator.map(t => sortedDistinct(t.toArray)).toArray).toArray,
     )
+  }
+
+  /** The values common to two sorted, duplicate-free arrays, sorted: a
+    * merge in O(|a| + |b|).
+    */
+  private[core] def intersect(a: Array[Int], b: Array[Int]): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    var i = 0; var j = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { out += a(i); i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    out.result()
   }
 
   /** Sorts `a` in place and returns its distinct values. */

@@ -110,12 +110,11 @@ object Experiments {
                            np: Long, nvOverNp: Double, neOverNp: Double)
 
   /** Figure 4: runtime and truss-size metrics vs. BFS-sampled network size,
-    * at the worst case α = 0. TCS/TCFA are skipped above their cutoffs
-    * (paper: "we stop reporting when they cost more than one day").
+    * at the worst case α = 0, TCS at ε = 0.1. TCS is skipped at the largest
+    * size (paper: "we stop reporting when they cost more than one day").
     */
-  def fig4(spark: SparkSession, base: GenNet, sizes: Seq[Int],
-           eps: Double = 0.1, maxLen: Int = 6,
-           tcsCutoff: Int = Int.MaxValue, tcfaCutoff: Int = Int.MaxValue): Seq[Fig4Row] = {
+  def fig4(spark: SparkSession, base: GenNet, sizes: Seq[Int], maxLen: Int = 6): Seq[Fig4Row] = {
+    val eps = 0.1
     def row(method: String, m: Int, r: MiningResult): Fig4Row =
       Fig4Row(method, m, r.stats.timeMs, r.np,
               if (r.np == 0) 0.0 else r.nv.toDouble / r.np,
@@ -123,8 +122,8 @@ object Experiments {
     sizes.flatMap { m =>
       val net = NetGen.bfsSample(base, m).compact
       val out = scala.collection.mutable.ArrayBuffer.empty[Fig4Row]
-      if (m <= tcsCutoff) out += row(s"TCS(eps=$eps)", m, TCS.run(spark, net, 0.0, eps, maxLen))
-      if (m <= tcfaCutoff) out += row("TCFA", m, TCFA.run(spark, net, 0.0, maxLen))
+      if (m < sizes.max) out += row(s"TCS(eps=$eps)", m, TCS.run(spark, net, 0.0, eps, maxLen))
+      out += row("TCFA", m, TCFA.run(spark, net, 0.0, maxLen))
       out += row("TCFI", m, TCFI.run(spark, net, 0.0, maxLen))
       out.toSeq
     }
@@ -143,9 +142,10 @@ object Experiments {
   final case class QbpRow(patternLen: Int, avgQueryMicros: Double, avgRetrievedNodes: Double)
 
   /** Figure 5(a)-(d): Query-by-Alpha with q = S, α_q ascending by 0.1 until
-    * the answer is empty. Query time is averaged over `reps` runs.
+    * the answer is empty. Query time is averaged over 20 runs.
     */
-  def fig5Qba(tree: TCTree, allItems: Set[Int], reps: Int = 20): Seq[QbaRow] = {
+  def fig5Qba(tree: TCTree, allItems: Set[Int]): Seq[QbaRow] = {
+    val reps = 20
     val out = Vector.newBuilder[QbaRow]
     var alphaQ = 0.0
     var rn = -1
@@ -165,9 +165,8 @@ object Experiments {
   /** Figure 5(e)-(h): Query-by-Pattern with α_q = 0, query patterns sampled
     * from each tree layer (up to `samplesPerLayer` per layer).
     */
-  def fig5Qbp(tree: TCTree, samplesPerLayer: Int = 1000, reps: Int = 5,
-              seed: Long = 31): Seq[QbpRow] = {
-    val rnd = new Random(seed)
+  def fig5Qbp(tree: TCTree, samplesPerLayer: Int = 1000, reps: Int = 5): Seq[QbpRow] = {
+    val rnd = new Random(31)
     (1 to tree.maxDepth).flatMap { len =>
       val layer = tree.nodesAtDepth(len)
       if (layer.isEmpty) None

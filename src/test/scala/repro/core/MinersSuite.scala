@@ -41,7 +41,9 @@ class MinersSuite extends SparkSpec {
       val subs = Pattern.allSubPatterns(c.items.toVector)
       for (alpha <- Seq(0.0, 0.2, 0.5)) {
         val expected = subs.map(p => p -> direct(c, p)(LocalTruss.mptd(_, _, alpha))).filter(!_._2.isEmpty).toMap
-        for (r <- Seq(TCFA.run(spark, c, alpha), TCFI.run(spark, c, alpha))) {
+        // TCS is exact at eps = 0: a truss's vertices all have f > 0.
+        for (r <- Seq(TCFA.run(spark, c, alpha), TCFI.run(spark, c, alpha),
+                      TCS.run(spark, c, alpha, eps = 0.0))) {
           assert(r.trusses.keySet == expected.keySet, s"alpha=$alpha")
           for ((p, t) <- r.trusses) assert(t.edges == expected(p).edges, s"alpha=$alpha p=${Pattern.key(p)}")
         }

@@ -55,8 +55,7 @@ class ExperimentsSuite extends SparkSpec {
 
   test("fig4 rows: NP grows with sampled size; cutoffs drop slow methods") {
     val base = NetGen.bkLike(300, seed = 75)
-    val rows = Experiments.fig4(spark, base, sizes = Seq(100, 250), maxLen = 3,
-                                tcsCutoff = 100, tcfaCutoff = 250)
+    val rows = Experiments.fig4(spark, base, sizes = Seq(100, 250), maxLen = 3)
     val tcfi = rows.filter(_.method == "TCFI").sortBy(_.mEdges).map(_.np)
     assert(tcfi == tcfi.sorted)
     assert(rows.count(_.method.startsWith("TCS")) == 1) // only the 100-edge run
@@ -66,7 +65,7 @@ class ExperimentsSuite extends SparkSpec {
   test("fig5 QBA: ends at zero retrieved nodes, RN non-increasing") {
     val c = NetGen.aminerLike(150, 8, 50, seed = 76).compact
     val tree = TCTree.build(spark, c, maxDepth = 3)
-    val rows = Experiments.fig5Qba(tree, c.items.toSet, reps = 3)
+    val rows = Experiments.fig5Qba(tree, c.items.toSet)
     assert(rows.last.retrievedNodes == 0)
     val rns = rows.map(_.retrievedNodes)
     assert(rns == rns.sorted.reverse)
